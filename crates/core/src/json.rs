@@ -17,6 +17,12 @@ use crate::{EventStructure, StructureBuilder, Tcg, VarId};
 use tgm_events::minijson::{self, JsonError, Value};
 use tgm_granularity::Calendar;
 
+/// Most variables a structure document may declare. Everything downstream
+/// is at least quadratic in the variable count (the reachability matrix
+/// built with the structure, one `n × n` network per granularity group in
+/// propagation), so larger documents are refused before any of it runs.
+pub const MAX_VARIABLES: usize = 4096;
+
 /// Errors from structure (de)serialization.
 #[derive(Debug)]
 pub enum StructureJsonError {
@@ -111,12 +117,22 @@ pub fn structure_from_value(
     doc: &Value,
     cal: &Calendar,
 ) -> Result<EventStructure, StructureJsonError> {
-    let variables: Vec<&str> = doc
+    let variables = doc
         .get("variables")
         .and_then(Value::as_array)
-        .ok_or_else(|| shape("missing `variables` array"))?
+        .ok_or_else(|| shape("missing `variables` array"))?;
+    if variables.len() > MAX_VARIABLES {
+        return Err(shape(format!(
+            "{} variables, at most {MAX_VARIABLES} are supported",
+            variables.len()
+        )));
+    }
+    let variables: Vec<&str> = variables
         .iter()
-        .map(|v| v.as_str().ok_or_else(|| shape("variable names must be strings")))
+        .map(|v| {
+            v.as_str()
+                .ok_or_else(|| shape("variable names must be strings"))
+        })
         .collect::<Result<_, _>>()?;
     let constraints = doc
         .get("constraints")
@@ -241,6 +257,29 @@ mod tests {
         assert!(matches!(
             structure_from_json(cyclic, &cal),
             Err(StructureJsonError::Structure(_))
+        ));
+    }
+
+    #[test]
+    fn variable_count_is_bounded() {
+        let cal = Calendar::standard();
+        // A star from the root: valid at the bound, refused one past it.
+        let doc = |n: usize| {
+            let names: Vec<String> = (0..n).map(|i| format!("\"X{i}\"")).collect();
+            let arcs: Vec<String> = (1..n)
+                .map(|i| format!(r#"{{"from":0,"to":{i},"lo":0,"hi":1,"granularity":"day"}}"#))
+                .collect();
+            format!(
+                r#"{{"variables": [{}], "constraints": [{}]}}"#,
+                names.join(","),
+                arcs.join(",")
+            )
+        };
+        let s = structure_from_json(&doc(MAX_VARIABLES), &cal).unwrap();
+        assert!(s.has_path(VarId(0), VarId(MAX_VARIABLES - 1)));
+        assert!(matches!(
+            structure_from_json(&doc(MAX_VARIABLES + 1), &cal),
+            Err(StructureJsonError::Shape(msg)) if msg.contains("at most 4096")
         ));
     }
 

@@ -12,9 +12,12 @@
 //!    translated (Appendix A.1) into every *gap-free* other granularity and
 //!    intersected into that group,
 //!
-//! until no group changes. Inconsistency of any group refutes the
-//! structure; the reverse direction is necessarily incomplete (consistency
-//! is NP-hard, Theorem 1).
+//! until no group changes. Passes after the first are semi-naive: only
+//! derived constraints that changed since their group last fed conversions
+//! are translated again, which yields the same networks, since
+//! re-translating an unchanged one cannot tighten anything. Inconsistency
+//! of any group refutes the structure; the reverse direction is
+//! necessarily incomplete (consistency is NP-hard, Theorem 1).
 //!
 //! # Why this is sound
 //!
@@ -39,9 +42,10 @@
 //! endpoints are defined by construction, or the granularity is gap-free),
 //! so derived finite bounds hold for every matching event.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use tgm_granularity::{cache, Calendar, Gran, Granularity};
+use tgm_granularity::cache::{self, FastMap};
+use tgm_granularity::{Calendar, Gran, Granularity};
 use tgm_limits::{Interrupt, Limits};
 use tgm_stp::{MinimalNetwork, Range, Stp, INF};
 
@@ -54,15 +58,17 @@ use crate::tcg::Tcg;
 /// propagation once per candidate sub-structure), so the memo is
 /// process-wide. Keys use [`Gran::instance_id`] — process-unique and never
 /// reused — so name collisions (e.g. `business-day` with different holiday
-/// sets) cannot alias.
+/// sets) cannot alias. Integer keys hash with the granularity layer's
+/// [`FastMap`].
 type ConvKey = (u64, u64, i64, i64);
+type ConvMap = FastMap<ConvKey, Option<(i64, i64)>>;
 
 fn converted_bounds_cached(
     src: &Gran,
     dst: &Gran,
     lo: i64,
     hi: i64,
-    local: &mut HashMap<ConvKey, Option<(i64, i64)>>,
+    local: &mut ConvMap,
 ) -> Option<(i64, i64)> {
     let key = (src.instance_id(), dst.instance_id(), lo, hi);
     let compute = |src: &Gran, dst: &Gran| {
@@ -75,11 +81,10 @@ fn converted_bounds_cached(
         // its original (pre-shared-cache) behavior.
         return *local.entry(key).or_insert_with(|| compute(src, dst));
     }
-    type ConvMap = HashMap<ConvKey, Option<(i64, i64)>>;
     static GLOBAL: parking_lot::Mutex<Option<ConvMap>> = parking_lot::Mutex::new(None);
     const MAX_ENTRIES: usize = 1 << 16;
     let mut guard = GLOBAL.lock();
-    let map = guard.get_or_insert_with(HashMap::new);
+    let map = guard.get_or_insert_with(ConvMap::default);
     if let Some(v) = map.get(&key) {
         return *v;
     }
@@ -355,18 +360,27 @@ fn propagate_core(
     // Conversion is only sound for timestamp-ordered pairs (the TCG and
     // size-table semantics assume t_i <= t_j), so restrict it to pairs
     // connected by a directed path.
-    let mut ordered = vec![false; n * n];
-    for i in s.vars() {
-        for j in s.vars() {
-            if i != j && s.has_path(i, j) {
-                ordered[i.index() * n + j.index()] = true;
-            }
-        }
-    }
+    let ordered: Vec<(usize, usize)> = s
+        .vars()
+        .flat_map(|i| s.vars().map(move |j| (i, j)))
+        .filter(|&(i, j)| i != j && s.has_path(i, j))
+        .map(|(i, j)| (i.index(), j.index()))
+        .collect();
 
     // Per-call fallback memo used when the shared cache layer is disabled
     // (see `converted_bounds_cached`).
-    let mut conv_local: HashMap<ConvKey, Option<(i64, i64)>> = HashMap::new();
+    let mut conv_local = ConvMap::default();
+
+    // Semi-naive fixpoint: `fed[g][k]` is the range of ordered pair `k` in
+    // group `g` when `g` last fed conversions (initially the full range,
+    // which converts to nothing). Networks only tighten, a range converts
+    // to the same target every time, and re-intersecting a target already
+    // applied changes nothing — so a pair whose source range has not
+    // changed since it last fed is skipped without changing any network,
+    // `changed` flag or refutation: the result is that of re-converting
+    // every pair on every pass.
+    let mut fed: Vec<Vec<Range>> = vec![vec![Range::full(); ordered.len()]; grans.len()];
+    let mut fresh: Vec<(usize, usize, Range)> = Vec::new();
 
     // Alternate conversion + incremental re-tightening to a fixpoint.
     let mut iterations = 0usize;
@@ -374,6 +388,20 @@ fn propagate_core(
         iterations += 1;
         let mut changed = false;
         for src_idx in 0..grans.len() {
+            // The source network does not change while it feeds the other
+            // groups, so its changed finite forward ranges are collected
+            // once per pass.
+            fresh.clear();
+            for (&(i, j), last) in ordered.iter().zip(fed[src_idx].iter_mut()) {
+                let r = nets[src_idx].range(i, j);
+                if r == *last {
+                    continue;
+                }
+                *last = r;
+                if r.lo >= 0 && r.hi < INF {
+                    fresh.push((i, j, r));
+                }
+            }
             for dst_idx in 0..grans.len() {
                 if src_idx == dst_idx {
                     continue;
@@ -386,52 +414,43 @@ fn propagate_core(
                     l.check()?;
                 }
                 let dst_gapped = grans[dst_idx].has_gaps();
-                for i in 0..n {
-                    for j in 0..n {
-                        if i == j || !ordered[i * n + j] {
-                            continue;
-                        }
-                        // Conversion into a gapped granularity is sound only
-                        // when both endpoints are guaranteed defined ticks
-                        // there (explicit TCGs force that); gap-free targets
-                        // are unconditional. This realizes the paper's
-                        // b-week -> b-day style conversions.
-                        if dst_gapped && !(defined[dst_idx][i] && defined[dst_idx][j]) {
-                            continue;
-                        }
-                        let r = nets[src_idx].range(i, j);
-                        if r.lo < 0 || r.hi >= INF {
-                            continue;
-                        }
-                        let converted = converted_bounds_cached(
-                            &grans[src_idx],
-                            &grans[dst_idx],
-                            r.lo,
-                            r.hi,
-                            &mut conv_local,
-                        );
-                        let Some((clo, chi)) = converted else {
-                            continue;
-                        };
-                        let target = Range::new(clo, chi);
-                        let before = nets[dst_idx].range(i, j);
-                        match nets[dst_idx].tighten(i, j, target) {
-                            Ok(()) => {
-                                if nets[dst_idx].range(i, j) != before {
-                                    changed = true;
-                                }
+                for &(i, j, r) in &fresh {
+                    // Conversion into a gapped granularity is sound only
+                    // when both endpoints are guaranteed defined ticks
+                    // there (explicit TCGs force that); gap-free targets
+                    // are unconditional. This realizes the paper's
+                    // b-week -> b-day style conversions.
+                    if dst_gapped && !(defined[dst_idx][i] && defined[dst_idx][j]) {
+                        continue;
+                    }
+                    let converted = converted_bounds_cached(
+                        &grans[src_idx],
+                        &grans[dst_idx],
+                        r.lo,
+                        r.hi,
+                        &mut conv_local,
+                    );
+                    let Some((clo, chi)) = converted else {
+                        continue;
+                    };
+                    let target = Range::new(clo, chi);
+                    let before = nets[dst_idx].range(i, j);
+                    match nets[dst_idx].tighten(i, j, target) {
+                        Ok(()) => {
+                            if nets[dst_idx].range(i, j) != before {
+                                changed = true;
                             }
-                            Err(_) => {
-                                let refuted_in = Some(grans[dst_idx].clone());
-                                return Ok(Propagated {
-                                    grans,
-                                    networks: None,
-                                    defined,
-                                    iterations,
-                                    n_vars: n,
-                                    refuted_in,
-                                });
-                            }
+                        }
+                        Err(_) => {
+                            let refuted_in = Some(grans[dst_idx].clone());
+                            return Ok(Propagated {
+                                grans,
+                                networks: None,
+                                defined,
+                                iterations,
+                                n_vars: n,
+                                refuted_in,
+                            });
                         }
                     }
                 }

@@ -40,6 +40,10 @@ pub struct EventStructure {
     arcs: BTreeMap<(VarId, VarId), Vec<Tcg>>,
     root: VarId,
     topo: Vec<VarId>,
+    /// Reachability bit-matrix: row `a` (`⌈n/64⌉` words) has bit `b` set
+    /// iff there is a directed path from `a` to `b` (including `a == b`).
+    /// Computed once at build time.
+    reach: Vec<u64>,
 }
 
 impl EventStructure {
@@ -130,26 +134,13 @@ impl EventStructure {
         out
     }
 
-    /// Whether there is a directed path from `a` to `b`.
+    /// Whether there is a directed path from `a` to `b` (always true for
+    /// `a == b`). `O(1)`: a lookup in the reachability matrix computed at
+    /// build time.
     pub fn has_path(&self, a: VarId, b: VarId) -> bool {
-        if a == b {
-            return true;
-        }
-        let mut stack = vec![a];
-        let mut seen = vec![false; self.len()];
-        seen[a.index()] = true;
-        while let Some(v) = stack.pop() {
-            for c in self.children(v) {
-                if c == b {
-                    return true;
-                }
-                if !seen[c.index()] {
-                    seen[c.index()] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        false
+        let (a, b) = (a.index(), b.index());
+        let words = self.len().div_ceil(64);
+        (self.reach[a * words + b / 64] >> (b % 64)) & 1 == 1
     }
 
     /// Whether the timestamp assignment (indexed by variable id) satisfies
@@ -266,12 +257,31 @@ impl StructureBuilder {
         if topo.len() != n {
             return Err(StructureError::Cyclic);
         }
+        // Reachability, children before parents: each row is its own bit
+        // OR its children's rows.
+        let words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * words];
+        for &v in topo.iter().rev() {
+            let v = v.index();
+            reach[v * words + v / 64] |= 1 << (v % 64);
+            for (&(_, c), _) in self
+                .arcs
+                .range((VarId(v), VarId(0))..=(VarId(v), VarId(usize::MAX)))
+            {
+                let c = c.index();
+                for w in 0..words {
+                    let bits = reach[c * words + w];
+                    reach[v * words + w] |= bits;
+                }
+            }
+        }
         let root = VarId(0);
         let s = EventStructure {
             names: self.names,
             arcs: self.arcs,
             root,
             topo,
+            reach,
         };
         for v in s.vars() {
             if !s.has_path(root, v) {
@@ -368,6 +378,31 @@ mod tests {
         assert_eq!(s.topo_order()[0], x0);
         assert_eq!(s.max_range(), 5);
         assert_eq!(s.constraint_count(), 4);
+    }
+
+    /// Reachability rows span several 64-bit words past 64 variables.
+    #[test]
+    fn has_path_across_word_boundaries() {
+        let mut b = StructureBuilder::new();
+        let vars: Vec<VarId> = (0..150).map(|i| b.var(format!("X{i}"))).collect();
+        // A chain 0 -> 1 -> ... -> 129, and 0 -> 130 -> ... -> 149.
+        for w in vars[..130].windows(2) {
+            b.constrain(w[0], w[1], day_tcg(0, 1));
+        }
+        b.constrain(vars[0], vars[130], day_tcg(0, 1));
+        for w in vars[130..].windows(2) {
+            b.constrain(w[0], w[1], day_tcg(0, 1));
+        }
+        let s = b.build().unwrap();
+        assert!(s.has_path(vars[0], vars[129]));
+        assert!(s.has_path(vars[63], vars[64]));
+        assert!(s.has_path(vars[1], vars[128]));
+        assert!(s.has_path(vars[130], vars[149]));
+        assert!(s.has_path(vars[100], vars[100]));
+        assert!(!s.has_path(vars[129], vars[0]));
+        assert!(!s.has_path(vars[64], vars[63]));
+        assert!(!s.has_path(vars[1], vars[130]));
+        assert!(!s.has_path(vars[140], vars[129]));
     }
 
     #[test]

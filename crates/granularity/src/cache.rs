@@ -38,8 +38,10 @@ use crate::interval::IntervalSet;
 /// Multiply-rotate hasher for the memo keys (ticks, seconds, instance
 /// ids). The default SipHash costs about as much as the periodic-calendar
 /// arithmetic the memo replaces; integer keys need no DoS resistance here.
+/// Public so other layers' integer-keyed memos (constraint propagation's
+/// conversion memo) share it.
 #[derive(Default)]
-pub(crate) struct FastIntHasher(u64);
+pub struct FastIntHasher(u64);
 
 impl Hasher for FastIntHasher {
     fn finish(&self) -> u64 {
@@ -63,7 +65,8 @@ impl Hasher for FastIntHasher {
     }
 }
 
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastIntHasher>>;
+/// A `HashMap` hashed by [`FastIntHasher`].
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastIntHasher>>;
 
 /// Process-wide switch for the resolution cache (default: on).
 static ENABLED: AtomicBool = AtomicBool::new(true);

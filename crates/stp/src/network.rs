@@ -350,20 +350,31 @@ impl MinimalNetwork {
         }
         self.inner.constrain(i, j, tight);
         let n = self.inner.n;
+        let (w_ij, w_ji) = (self.inner.at(i, j), self.inner.at(j, i));
         // Propagate through the updated edge pair (i→j weight hi, j→i −lo):
-        // new d[a][b] = min(old, d[a][i] + w(i,j) + d[j][b], d[a][j] + w(j,i) + d[i][b]).
-        for a in 0..n {
-            for b in 0..n {
-                let via_ij = add_weight(
-                    add_weight(self.inner.at(a, i), self.inner.at(i, j)),
-                    self.inner.at(j, b),
-                );
-                let via_ji = add_weight(
-                    add_weight(self.inner.at(a, j), self.inner.at(j, i)),
-                    self.inner.at(i, b),
-                );
-                let best = self.inner.at(a, b).min(via_ij).min(via_ji);
-                *self.inner.at_mut(a, b) = best;
+        // new d[a][b] = min(old, d[a][i] + w(i,j) + d[j][b], d[a][j] + w(j,i) + d[i][b]),
+        // reading rows i and j as they stand before the sweep. Unbounded
+        // entries are lifted to 2·INF in the snapshot and the per-row
+        // prefixes, so a sum involving one is ≥ INF and loses to the
+        // current entry (≤ INF), and no sum (≤ 4·INF) overflows: the inner
+        // loop is a branch-free min over slices.
+        let lift = |v: i64| if v >= INF { 2 * INF } else { v };
+        let snapshot = |row: usize| -> Vec<i64> {
+            self.inner.d[row * n..(row + 1) * n]
+                .iter()
+                .map(|&v| lift(v))
+                .collect()
+        };
+        let (row_i, row_j) = (snapshot(i), snapshot(j));
+        for row in self.inner.d.chunks_exact_mut(n) {
+            let via_ij = add_weight(row[i], w_ij);
+            let via_ji = add_weight(row[j], w_ji);
+            if via_ij >= INF && via_ji >= INF {
+                continue;
+            }
+            let (via_ij, via_ji) = (lift(via_ij), lift(via_ji));
+            for ((d, &jb), &ib) in row.iter_mut().zip(&row_j).zip(&row_i) {
+                *d = (*d).min(via_ij + jb).min(via_ji + ib);
             }
         }
         for v in 0..n {

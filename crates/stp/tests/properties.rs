@@ -121,3 +121,98 @@ proptest! {
         }
     }
 }
+
+/// A witness-built instance over up to 40 variables (some constraints
+/// half-bounded) plus a sequence of tightenings `(i, j, kind, offset,
+/// width)`; see [`tightening_range`].
+#[allow(clippy::type_complexity)]
+fn tightening_instance() -> impl Strategy<
+    Value = (
+        Vec<i64>,
+        Vec<(usize, usize, Range)>,
+        Vec<(usize, usize, u8, i64, i64)>,
+    ),
+> {
+    (2usize..=40)
+        .prop_flat_map(|n| {
+            (
+                proptest::collection::vec(-1000i64..1000, n),
+                proptest::collection::vec((0..n, 0..n, 0i64..50, 0i64..50, 0u8..8), 1..3 * n),
+                proptest::collection::vec((0..n, 0..n, 0u8..4, -80i64..80, 0i64..40), 1..8),
+            )
+        })
+        .prop_map(|(xs, raw, tightenings)| {
+            let cons = raw
+                .into_iter()
+                .filter(|(i, j, ..)| i != j)
+                .map(|(i, j, slack_lo, slack_hi, shape)| {
+                    let diff = xs[j] - xs[i];
+                    let r = match shape {
+                        0 => Range::at_least(diff - slack_lo),
+                        1 => Range::at_most(diff + slack_hi),
+                        _ => Range::new(diff - slack_lo, diff + slack_hi),
+                    };
+                    (i, j, r)
+                })
+                .collect();
+            (xs, cons, tightenings)
+        })
+}
+
+/// The range of one tightening, placed around the witness difference `d`:
+/// bounded ranges that may keep the witness, cut it off, or miss the
+/// current range entirely, and half-bounded ones.
+fn tightening_range(d: i64, kind: u8, offset: i64, width: i64) -> Range {
+    match kind {
+        0 => Range::new(d + offset.min(0) / 4, d + width),
+        1 => Range::new(d + offset, d + offset + width),
+        2 => Range::at_least(d + offset),
+        _ => Range::at_most(d + offset),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Incremental `tighten` equals batch minimization of the same
+    /// constraints plus the new range, entry for entry, and errs exactly
+    /// when the range misses the current minimal range (which leaves the
+    /// network untouched).
+    #[test]
+    fn tighten_equals_batch_minimize((xs, cons, tightenings) in tightening_instance()) {
+        let n = xs.len();
+        let mut stp = Stp::new(n);
+        for &(i, j, r) in &cons {
+            stp.constrain(i, j, r);
+        }
+        let mut m = stp.minimize().expect("witness-built STP must be consistent");
+        for (i, j, kind, offset, width) in tightenings {
+            if i == j {
+                continue;
+            }
+            let r = tightening_range(xs[j] - xs[i], kind, offset, width);
+            let current = m.range(i, j);
+            let misses = current.intersect(&r).is_none();
+            let before = m.clone();
+            let result = m.tighten(i, j, r);
+            prop_assert_eq!(result.is_err(), misses,
+                "tighten x{}-x{} {:?} against {:?}", j, i, r, current);
+            if misses {
+                for a in 0..n {
+                    for b in 0..n {
+                        prop_assert_eq!(m.range(a, b), before.range(a, b));
+                    }
+                }
+                continue;
+            }
+            stp.constrain(i, j, r);
+            let batch = stp.minimize().expect("a range meeting the minimal one stays consistent");
+            for a in 0..n {
+                for b in 0..n {
+                    prop_assert_eq!(m.range(a, b), batch.range(a, b),
+                        "x{}-x{} after tightening x{}-x{} to {:?}", b, a, j, i, r);
+                }
+            }
+        }
+    }
+}
