@@ -20,10 +20,6 @@ fn bench_mining(c: &mut Criterion) {
     group.bench_function("pipeline_serial", |b| {
         b.iter(|| mine_with(&problem, &w.sequence, &serial))
     });
-    let candidate_level = PipelineOptions::builder().parallel_sweep(false).build();
-    group.bench_function("pipeline_parallel", |b| {
-        b.iter(|| mine_with(&problem, &w.sequence, &candidate_level))
-    });
     group.bench_function("pipeline_parallel_sweep", |b| {
         b.iter(|| mine_with(&problem, &w.sequence, &PipelineOptions::default()))
     });

@@ -16,10 +16,7 @@ use crate::{print_table, timed};
 pub fn run() {
     println!("\n## E10 — Discovery scaling: naive vs optimized pipeline");
     let serial = PipelineOptions::builder().parallel(false).build();
-    // Candidate-level parallelism only vs the full default (which adds the
-    // anchored-sweep split when candidates alone can't fill the workers).
-    let parallel_candidate = PipelineOptions::builder().parallel_sweep(false).build();
-    let parallel_sweep = PipelineOptions::default();
+    let parallel = PipelineOptions::default();
 
     // vs sequence length, with the shared resolution layer (tick columns +
     // per-granularity cache) on and off for the serial pipeline — the off
@@ -37,14 +34,10 @@ pub fn run() {
         let ((psols_off, _), pms_off) =
             timed(|| mine_with(&problem, &w.sequence, &serial_off));
         cache::set_enabled(true);
-        let ((psols_par, _), pms_par) =
-            timed(|| mine_with(&problem, &w.sequence, &parallel_candidate));
-        let ((psols_sweep, _), pms_sweep) =
-            timed(|| mine_with(&problem, &w.sequence, &parallel_sweep));
+        let ((psols_par, _), pms_par) = timed(|| mine_with(&problem, &w.sequence, &parallel));
         assert_eq!(nsols, psols);
         assert_eq!(psols, psols_off, "cache is semantics-preserving");
-        assert_eq!(psols, psols_par, "candidate parallelism is semantics-preserving");
-        assert_eq!(psols, psols_sweep, "sweep parallelism is semantics-preserving");
+        assert_eq!(psols, psols_par, "step-5 parallelism is semantics-preserving");
         rows.push(vec![
             days.to_string(),
             w.sequence.len().to_string(),
@@ -52,7 +45,6 @@ pub fn run() {
             format!("{pms:.0}"),
             format!("{pms_off:.0}"),
             format!("{pms_par:.0}"),
-            format!("{pms_sweep:.0}"),
             format!("{:.1}x", nms / pms.max(0.001)),
         ]);
     }
@@ -64,8 +56,7 @@ pub fn run() {
             "naive ms",
             "pipeline ms",
             "pipeline ms (resolution layer off)",
-            "pipeline ms (parallel, candidate-level)",
-            "pipeline ms (parallel + sweep)",
+            "pipeline ms (parallel)",
             "speedup",
         ],
         &rows,

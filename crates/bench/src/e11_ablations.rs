@@ -204,13 +204,12 @@ pub fn run() {
         &rows,
     );
 
-    // (5) Parallel anchored sweep: discovery with the anchored support
+    // (5) Parallel anchored sweep: the naive miner's anchored support
     // sweep split across workers (one scratch per worker) vs a single
-    // serial sweep, for the naive miner and the pipeline. Solutions and
+    // serial sweep, next to the default parallel pipeline. Solutions and
     // tag-run counts asserted identical — support is a sum of independent
     // per-reference boolean runs, so chunking cannot change it.
-    let candidate_only = PipelineOptions::builder().parallel_sweep(false).build();
-    let sweep_on = PipelineOptions::default();
+    let parallel = PipelineOptions::default();
     let mut rows = Vec::new();
     for days in [360i64, 720] {
         let w = daily_stock_workload(days, &[], 0.85, 23);
@@ -229,21 +228,21 @@ pub fn run() {
                 },
             )
         });
-        let ((p_cand, p_cand_stats), p_cand_ms) =
-            timed(|| mine_with(&problem, &w.sequence, &candidate_only));
-        let ((p_sweep, p_sweep_stats), p_sweep_ms) =
-            timed(|| mine_with(&problem, &w.sequence, &sweep_on));
+        let ((p_par, p_par_stats), p_par_ms) =
+            timed(|| mine_with(&problem, &w.sequence, &parallel));
         assert_eq!(n_serial, n_sweep, "naive sweep changed solutions");
         assert_eq!(n_serial_stats.tag_runs, n_sweep_stats.tag_runs);
-        assert_eq!(p_cand, p_sweep, "pipeline sweep changed solutions");
-        assert_eq!(p_cand_stats.tag_runs, p_sweep_stats.tag_runs);
+        assert_eq!(n_serial, p_par, "parallel pipeline diverged from naive");
+        assert_eq!(
+            p_par_stats.tag_runs as u64,
+            p_par_stats.candidates_scanned * p_par_stats.refs_kept as u64
+        );
         rows.push(vec![
             days.to_string(),
             w.sequence.len().to_string(),
             format!("{n_serial_ms:.0}"),
             format!("{n_sweep_ms:.0}"),
-            format!("{p_cand_ms:.0}"),
-            format!("{p_sweep_ms:.0}"),
+            format!("{p_par_ms:.0}"),
             format!("{:.1}x", n_serial_ms / n_sweep_ms.max(0.001)),
         ]);
     }
@@ -254,8 +253,7 @@ pub fn run() {
             "events",
             "naive ms (serial sweep)",
             "naive ms (parallel sweep)",
-            "pipeline ms (candidate-level)",
-            "pipeline ms (+ sweep)",
+            "pipeline ms (parallel)",
             "naive sweep speedup",
         ],
         &rows,

@@ -1,10 +1,12 @@
 //! Shared bounded-execution plumbing for the miners: the partial-result
-//! container returned by `mine_bounded`, the sweep-level error type, and
-//! the panic-containment wrapper for crossbeam workers.
+//! container returned by `mine_bounded`, the sweep-level error type, the
+//! panic-containment wrapper, and the one crossbeam worker fan-out.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use tgm_limits::{panic_message, CancelToken, Interrupt, Verdict, WorkerPanic};
+use tgm_limits::{fail, panic_message, CancelToken, Interrupt, Limits, Verdict, WorkerPanic};
+use tgm_obs::span::span_if;
+use tgm_obs::ObsOptions;
 
 use crate::problem::Solution;
 
@@ -75,4 +77,59 @@ pub(crate) fn contain<T>(
             })
         }
     }
+}
+
+/// Runs `work` once per job, each on its own scoped worker thread, and
+/// returns the jobs' results in job order.
+///
+/// Every worker enters the caller's current metric scope (fresh threads
+/// start with an empty scope stack, so their emissions and any
+/// contained-panic flush land where the caller's would), passes the
+/// `site` failpoint, times itself under `span`, and runs inside
+/// [`contain`]: a panic cancels `token` so siblings stop at their next
+/// poll, and the first panic in job order is returned as the error. It
+/// wins over any interrupt, since cancellation interrupts in siblings are
+/// a side effect of the panic itself.
+pub(crate) fn fan_out<J: Send, T: Send>(
+    site: &'static str,
+    span: &'static str,
+    obs: ObsOptions,
+    limits: Option<&Limits>,
+    token: Option<&CancelToken>,
+    jobs: Vec<J>,
+    work: impl Fn(J) -> Result<T, Interrupt> + Sync,
+) -> Result<Vec<Result<T, Interrupt>>, WorkerPanic> {
+    let worker_panic = |payload: &(dyn std::any::Any + Send)| {
+        if let Some(t) = token {
+            t.cancel();
+        }
+        WorkerPanic {
+            site,
+            message: panic_message(payload),
+        }
+    };
+    let worker_scope = tgm_obs::scope::current();
+    let work = &work;
+    let joined: Vec<Result<Result<T, Interrupt>, WorkerPanic>> = crossbeam::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .into_iter()
+            .map(|job| {
+                let worker_scope = worker_scope.clone();
+                scope.spawn(move |_| {
+                    let _obs_scope = worker_scope.enter();
+                    contain(site, token, || {
+                        fail::point(site, limits);
+                        let _s = span_if(obs.spans, span);
+                        work(job)
+                    })
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p.as_ref()))))
+            .collect()
+    })
+    .unwrap_or_else(|p| vec![Err(worker_panic(p.as_ref()))]);
+    joined.into_iter().collect()
 }

@@ -13,7 +13,8 @@
 //!   screening by sound propagation, sequence reduction by granularity
 //!   coverage, reference-occurrence pruning by derived windows,
 //!   Apriori-style candidate reduction through induced discovery problems
-//!   (§5.1), and a final anchored TAG scan (parallelized over candidates).
+//!   (§5.1), and a final shared anchored TAG scan (split across workers
+//!   by candidates, or by reference occurrences when candidates are few).
 //!   Every step can be toggled for ablation studies.
 //! * [`episodes`] — a WINEPI-style frequent-episode miner (serial and
 //!   parallel episodes under a sliding window), reimplementing the paper's

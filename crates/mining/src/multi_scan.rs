@@ -14,12 +14,9 @@ use std::collections::HashMap;
 
 use tgm_core::EventStructure;
 use tgm_events::{Event, TickColumns};
-use tgm_limits::{fail, CancelToken, Interrupt, Limits, WorkerPanic};
-use tgm_obs::span::span_if;
-use tgm_obs::{metrics, ObsOptions};
+use tgm_limits::{Interrupt, Limits};
+use tgm_obs::ObsOptions;
 use tgm_tag::{MatchOptions, MultiMatcher, MultiScratch, Tag, TagTemplate};
-
-use crate::bounded::{contain, SweepError};
 
 /// Memoized [`TagTemplate`]s keyed by a structural fingerprint of the
 /// event structure (arcs with bounds and granularity identity). Within one
@@ -80,8 +77,8 @@ pub(crate) fn anchored_multi<'t>(tags: &'t [Tag], obs: ObsOptions) -> MultiMatch
 /// [`count_support`](crate::naive): one multi pass per reference instead
 /// of one matcher run per (candidate, reference). Accumulates into
 /// `supports` (length ≥ `mm.len()`); `tag_runs` counts *logical* anchored
-/// runs (`mm.len()` per reference), so funnel stats match the
-/// per-candidate engine. `limits` (deadline/cancel; any budget should
+/// runs (`mm.len()` per reference), one per (candidate, reference) pair as
+/// the paper's step 5 defines them. `limits` (deadline/cancel; any budget should
 /// already be stripped by the caller) is polled between references and
 /// per event inside each pass.
 #[allow(clippy::too_many_arguments)]
@@ -132,135 +129,6 @@ pub(crate) fn multi_count_support(
                 supports[c] += 1;
             }
         }
-    }
-    Ok(())
-}
-
-/// [`multi_count_support`] with the anchor start positions chunked across
-/// up to `n_threads` workers (one [`MultiScratch`] per worker) — the
-/// shared-scan analogue of
-/// [`count_support_sweep`](crate::naive): sweep-level parallelism now
-/// advances the whole candidate set per chunk. Each reference occurrence
-/// is an independent batch of anchored runs, so the per-candidate support
-/// sums are identical in any chunking. `sweep_chunks` counts the chunks
-/// actually dispatched (0 for the serial fallback). A panic in one worker
-/// cancels `token` and surfaces as [`SweepError::Panicked`]; the first
-/// panic wins over any interrupt.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn multi_count_support_sweep(
-    mm: &MultiMatcher<'_>,
-    events: &[Event],
-    refs: &[usize],
-    window: Option<i64>,
-    cols: Option<&TickColumns>,
-    n_threads: usize,
-    tag_runs: &mut usize,
-    sweep_chunks: &mut usize,
-    obs: ObsOptions,
-    limits: Option<&Limits>,
-    token: Option<&CancelToken>,
-    supports: &mut [usize],
-) -> Result<(), SweepError> {
-    let n_threads = n_threads.min(refs.len());
-    if n_threads <= 1 {
-        let counted = multi_count_support(
-            mm,
-            events,
-            refs,
-            window,
-            cols,
-            &mut MultiScratch::new(),
-            tag_runs,
-            limits,
-            supports,
-        );
-        return counted.map_err(SweepError::from);
-    }
-    const SITE: &str = "mining.sweep.worker";
-    let worker_panic = |payload: &(dyn std::any::Any + Send)| {
-        if let Some(t) = token {
-            t.cancel();
-        }
-        WorkerPanic {
-            site: SITE,
-            message: tgm_limits::panic_message(payload),
-        }
-    };
-    type ChunkResult = Result<Result<(Vec<usize>, usize), Interrupt>, WorkerPanic>;
-    // Workers are fresh threads with an empty scope stack: hand them the
-    // caller's current scoped metric domain so their emissions (and any
-    // contained-panic flush) land where the caller's would.
-    let worker_scope = tgm_obs::scope::current();
-    let joined: Vec<ChunkResult> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = refs
-                .chunks(refs.len().div_ceil(n_threads))
-                .map(|chunk| {
-                    let worker_scope = worker_scope.clone();
-                    scope.spawn(move |_| {
-                        let _obs_scope = worker_scope.enter();
-                        contain(SITE, token, || {
-                            fail::point(SITE, limits);
-                            let _s = span_if(obs.spans, "mining.sweep.chunk");
-                            if obs.metrics_on() {
-                                metrics::histogram_record(
-                                    "mining.sweep.chunk_refs",
-                                    chunk.len() as u64,
-                                );
-                            }
-                            let mut scratch = MultiScratch::new();
-                            let mut local = vec![0usize; mm.len()];
-                            let mut runs = 0usize;
-                            multi_count_support(
-                                mm,
-                                events,
-                                chunk,
-                                window,
-                                cols,
-                                &mut scratch,
-                                &mut runs,
-                                limits,
-                                &mut local,
-                            )
-                            .map(|()| (local, runs))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p.as_ref()))))
-                .collect()
-        })
-        .unwrap_or_else(|p| vec![Err(worker_panic(p.as_ref()))]);
-    if obs.metrics_on() {
-        metrics::counter_add("mining.sweep.chunks", joined.len() as u64);
-    }
-    *sweep_chunks += joined.len();
-    let mut first_interrupt: Option<Interrupt> = None;
-    let mut first_panic: Option<WorkerPanic> = None;
-    for r in joined {
-        match r {
-            Ok(Ok((local, runs))) => {
-                for (acc, s) in supports.iter_mut().zip(&local) {
-                    *acc += s;
-                }
-                *tag_runs += runs;
-            }
-            Ok(Err(i)) => {
-                first_interrupt.get_or_insert(i);
-            }
-            Err(wp) => {
-                if first_panic.is_none() {
-                    first_panic = Some(wp);
-                }
-            }
-        }
-    }
-    if let Some(wp) = first_panic {
-        return Err(SweepError::Panicked(wp));
-    }
-    if let Some(i) = first_interrupt {
-        return Err(SweepError::Interrupted(i));
     }
     Ok(())
 }

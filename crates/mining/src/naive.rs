@@ -3,12 +3,12 @@
 
 use tgm_core::ComplexEventType;
 use tgm_events::{Event, EventSequence, EventType, TickColumns};
-use tgm_limits::{fail, CancelToken, Interrupt, Limits, Verdict, WorkerPanic};
+use tgm_limits::{CancelToken, Interrupt, Limits, Verdict, WorkerPanic};
 use tgm_obs::span::span_if;
 use tgm_obs::{metrics, Observable, ObsOptions, ObsValue};
 use tgm_tag::{build_tag, count_interrupt, MatchOptions, Matcher, MatcherScratch, Tag};
 
-use crate::bounded::{contain, BoundedMining, SweepError};
+use crate::bounded::{fan_out, BoundedMining, SweepError};
 use crate::problem::{DiscoveryProblem, Solution};
 
 /// Instrumentation from a naive run.
@@ -174,16 +174,13 @@ fn mine_inner(
         let cet = ComplexEventType::new(problem.structure.clone(), phi.to_vec());
         let tag = build_tag(&cet);
         let support = if n_threads > 1 {
-            let mut chunks = 0usize;
             let swept = count_support_sweep(
                 &tag,
                 seq.events(),
                 &refs,
-                None,
                 Some(&cols),
                 n_threads,
                 &mut stats.tag_runs,
-                &mut chunks,
                 opts.obs,
                 run_limits.as_ref(),
                 token.as_ref(),
@@ -344,24 +341,18 @@ fn count_refs(
 
 /// [`count_support`] with the anchor start positions chunked across up to
 /// `n_threads` workers (one scratch per worker): parallelism *inside* one
-/// candidate, for when there are fewer candidates than cores. Each
-/// reference occurrence is an independent anchored run, so the support sum
-/// is identical to the serial sweep in any chunking. `sweep_chunks` counts
-/// the chunks actually dispatched (0 for the serial fallback). A panic in
-/// one worker cancels `token` (stopping siblings at their next poll) and
-/// surfaces as [`SweepError::Panicked`]; the first panic wins over any
-/// interrupt, since cancellation interrupts in siblings are a side effect
-/// of the panic itself.
+/// candidate. Each reference occurrence is an independent anchored run,
+/// so the support sum is identical to the serial sweep in any chunking. A
+/// panic in one worker cancels `token` and surfaces as
+/// [`SweepError::Panicked`]; the first panic wins over any interrupt.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn count_support_sweep(
     tag: &Tag,
     events: &[Event],
     refs: &[usize],
-    window: Option<i64>,
     cols: Option<&TickColumns>,
     n_threads: usize,
     tag_runs: &mut usize,
-    sweep_chunks: &mut usize,
     obs: ObsOptions,
     limits: Option<&Limits>,
     token: Option<&CancelToken>,
@@ -372,7 +363,7 @@ pub(crate) fn count_support_sweep(
             tag,
             events,
             refs,
-            window,
+            None,
             cols,
             &mut MatcherScratch::new(),
             tag_runs,
@@ -382,94 +373,54 @@ pub(crate) fn count_support_sweep(
         return counted.map_err(SweepError::from);
     }
     let matcher = anchored_matcher(tag, obs);
-    let matcher = &matcher;
-    const SITE: &str = "mining.sweep.worker";
-    let worker_panic = |payload: &(dyn std::any::Any + Send)| {
-        if let Some(t) = token {
-            t.cancel();
-        }
-        WorkerPanic {
-            site: SITE,
-            message: tgm_limits::panic_message(payload),
-        }
-    };
-    type ChunkResult = Result<Result<(usize, usize), Interrupt>, WorkerPanic>;
-    // Workers are fresh threads with an empty scope stack: hand them the
-    // caller's current scoped metric domain so their emissions (and any
-    // contained-panic flush) land where the caller's would.
-    let worker_scope = tgm_obs::scope::current();
-    let joined: Vec<ChunkResult> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = refs
-                .chunks(refs.len().div_ceil(n_threads))
-                .map(|chunk| {
-                    let worker_scope = worker_scope.clone();
-                    scope.spawn(move |_| {
-                        let _obs_scope = worker_scope.enter();
-                        contain(SITE, token, || {
-                            fail::point(SITE, limits);
-                            // Per-chunk timing; the chunk-size histogram
-                            // shows how evenly the anchors split across
-                            // workers.
-                            let _s = span_if(obs.spans, "mining.sweep.chunk");
-                            if obs.metrics_on() {
-                                metrics::histogram_record(
-                                    "mining.sweep.chunk_refs",
-                                    chunk.len() as u64,
-                                );
-                            }
-                            let mut scratch = MatcherScratch::new();
-                            let mut runs = 0usize;
-                            count_refs(
-                                matcher,
-                                events,
-                                chunk,
-                                window,
-                                cols,
-                                &mut scratch,
-                                &mut runs,
-                                limits,
-                            )
-                            .map(|support| (support, runs))
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p.as_ref()))))
-                .collect()
-        })
-        .unwrap_or_else(|p| vec![Err(worker_panic(p.as_ref()))]);
+    let chunks: Vec<&[usize]> = refs.chunks(refs.len().div_ceil(n_threads)).collect();
     if obs.metrics_on() {
-        metrics::counter_add("mining.sweep.chunks", joined.len() as u64);
+        metrics::counter_add("mining.sweep.chunks", chunks.len() as u64);
     }
-    *sweep_chunks += joined.len();
+    let results = fan_out(
+        "mining.sweep.worker",
+        "mining.sweep.chunk",
+        obs,
+        limits,
+        token,
+        chunks,
+        |chunk| {
+            // The chunk-size histogram shows how evenly the anchors split
+            // across workers.
+            if obs.metrics_on() {
+                metrics::histogram_record("mining.sweep.chunk_refs", chunk.len() as u64);
+            }
+            let mut runs = 0usize;
+            let support = count_refs(
+                &matcher,
+                events,
+                chunk,
+                None,
+                cols,
+                &mut MatcherScratch::new(),
+                &mut runs,
+                limits,
+            )?;
+            Ok((support, runs))
+        },
+    )?;
     let mut support = 0;
     let mut first_interrupt: Option<Interrupt> = None;
-    let mut first_panic: Option<WorkerPanic> = None;
-    for r in joined {
+    for r in results {
         match r {
-            Ok(Ok((s, runs))) => {
+            Ok((s, runs)) => {
                 support += s;
                 *tag_runs += runs;
             }
-            Ok(Err(i)) => {
+            Err(i) => {
                 first_interrupt.get_or_insert(i);
-            }
-            Err(wp) => {
-                if first_panic.is_none() {
-                    first_panic = Some(wp);
-                }
             }
         }
     }
-    if let Some(wp) = first_panic {
-        return Err(SweepError::Panicked(wp));
+    match first_interrupt {
+        Some(i) => Err(SweepError::Interrupted(i)),
+        None => Ok(support),
     }
-    if let Some(i) = first_interrupt {
-        return Err(SweepError::Interrupted(i));
-    }
-    Ok(support)
 }
 
 #[cfg(test)]

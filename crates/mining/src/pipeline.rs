@@ -15,31 +15,32 @@
 //!    (w.r.t. *all* reference occurrences), inside the variable's window
 //!    satisfying all derived root-to-variable TCGs; optionally extended to
 //!    variable *pairs* along chains (`k = 2`).
-//! 5. **Final scan** — enumerate the surviving assignments and run one
-//!    anchored TAG per (candidate, reference occurrence), with the scan
-//!    bounded by the derived windows and parallelized over candidates.
+//! 5. **Final scan** — enumerate the surviving assignments and run their
+//!    anchored TAGs together from every kept reference occurrence (one
+//!    shared multi-TAG pass each), with the scan bounded by the derived
+//!    windows and split across workers by candidates or by references.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use tgm_core::propagate::{propagate, propagate_bounded, PropagateOptions};
-use tgm_core::{ComplexEventType, Tcg, VarId};
+use tgm_core::{Tcg, VarId};
 use tgm_events::{Event, EventSequence, EventType, TickColumns};
 use tgm_granularity::{Gran, Granularity as _};
-use tgm_limits::{fail, Interrupt, Limits, Verdict, WorkerPanic};
+use tgm_limits::{Interrupt, Limits, Verdict, WorkerPanic};
 use tgm_obs::span::span_if;
 use tgm_obs::{metrics, FunnelStage, Observable, ObsOptions, ObsValue};
 use tgm_stp::INF;
-use tgm_tag::count_interrupt;
-use tgm_tag::{build_tag, Tag};
+use tgm_tag::{count_interrupt, MatcherScratch, MultiScratch, Tag};
 
-use tgm_tag::{MatcherScratch, MultiScratch};
-
-use crate::bounded::{contain, BoundedMining, SweepError};
-use crate::multi_scan::{
-    anchored_multi, multi_count_support, multi_count_support_sweep, TemplateCache,
-};
-use crate::naive::{count_support, count_support_sweep};
+use crate::bounded::{fan_out, BoundedMining};
+use crate::multi_scan::{anchored_multi, multi_count_support, TemplateCache};
+use crate::naive::count_support;
 use crate::problem::{DiscoveryProblem, Solution};
+
+/// The most variables a discovery structure may have: the pipeline keeps
+/// per-event variable sets as `u64` bitmasks.
+pub const MAX_VARIABLES: usize = 64;
 
 /// Ablation switches for the pipeline; all enabled by default (`k = 2`
 /// pair screening is opt-in, as the paper presents it as an extension).
@@ -69,24 +70,12 @@ pub struct PipelineOptions {
     pub chain_screening_k: usize,
     /// Step 5: bound each anchored scan by the derived window.
     pub window_limit: bool,
-    /// Step 5: parallelize over candidates with crossbeam.
+    /// Step 5: split the shared scan across crossbeam workers. With fewer
+    /// surviving candidates than workers the kept reference occurrences
+    /// are split, otherwise the candidates are; a candidate's support is a
+    /// sum over independent anchored runs, so results are identical in any
+    /// chunking. Off = one chunk on the caller's thread.
     pub parallel: bool,
-    /// Step 5, second level: when there are fewer surviving candidates
-    /// than cores (so candidate-level chunking would leave workers idle),
-    /// chunk the anchor start positions *within* each candidate's sweep
-    /// across workers instead. Requires [`parallel`](Self::parallel); the
-    /// support of a candidate is a sum over independent anchored runs, so
-    /// results are identical in any chunking.
-    pub parallel_sweep: bool,
-    /// Step 5: advance *all* surviving candidates together with one
-    /// shared-scan [`tgm_tag::MultiMatcher`] pass per reference occurrence
-    /// instead of one full matcher run per (candidate, reference) pair.
-    /// Candidate automata of one problem differ only in their event-type
-    /// labels, so they collapse into shared simulation lanes; scan cost
-    /// becomes sublinear in the candidate count. Off = the per-candidate
-    /// packed engine (the bit-identical differential oracle); solutions
-    /// and funnel stats are identical either way.
-    pub multi_scan: bool,
     /// Resolve every event's tick per structure granularity once up front
     /// ([`TickColumns`]) and share the columns across steps 2–5 and every
     /// anchored TAG run. Off = resolve per use (the shared-resolution-layer
@@ -110,8 +99,6 @@ impl Default for PipelineOptions {
             chain_screening_k: 0,
             window_limit: true,
             parallel: true,
-            parallel_sweep: true,
-            multi_scan: true,
             use_tick_columns: true,
             obs: ObsOptions::default(),
         }
@@ -184,22 +171,9 @@ impl PipelineOptionsBuilder {
         self
     }
 
-    /// Sets candidate-level parallelism in step 5.
+    /// Sets step 5 parallelism.
     pub fn parallel(mut self, on: bool) -> Self {
         self.0.parallel = on;
-        self
-    }
-
-    /// Sets sweep-level parallelism in step 5.
-    pub fn parallel_sweep(mut self, on: bool) -> Self {
-        self.0.parallel_sweep = on;
-        self
-    }
-
-    /// Sets the shared-scan multi-TAG engine in step 5 (off = the
-    /// per-candidate oracle).
-    pub fn multi_scan(mut self, on: bool) -> Self {
-        self.0.multi_scan = on;
         self
     }
 
@@ -221,10 +195,10 @@ impl PipelineOptionsBuilder {
     }
 }
 
-/// Per-step instrumentation. Every field is populated on every execution
-/// path — serial, candidate-parallel and sweep-parallel step-5 runs
-/// report identically shaped stats (asserted by the obs differential
-/// tests), and [`funnel`](Self::funnel) renders the §5 pruning funnel.
+/// Per-step instrumentation. Every field is populated whatever the step-5
+/// chunk shape — inline, candidate chunks and reference chunks report
+/// identically shaped stats (asserted by the obs differential tests), and
+/// [`funnel`](Self::funnel) renders the §5 pruning funnel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Whether step 1 refuted the structure outright.
@@ -252,11 +226,11 @@ pub struct PipelineStats {
     pub banned_tuples: usize,
     /// Type pairs banned by pair screening (step 4, k = 2 cheap form).
     pub banned_pairs: usize,
-    /// Worker threads the step-5 scan executed on (1 = serial; recorded
-    /// identically by all three execution paths).
+    /// Step-5 chunks actually dispatched: one worker thread per chunk when
+    /// parallel, or the one chunk run inline on the caller's thread.
     pub step5_workers: usize,
-    /// Anchor chunks dispatched by sweep-level parallelism inside step 5
-    /// (0 when candidate-level or serial execution was used).
+    /// Step-5 chunks that split the kept reference occurrences (0 when
+    /// the candidates were split or the scan ran inline).
     pub sweep_chunks: usize,
     /// Solutions found.
     pub solutions: usize,
@@ -448,7 +422,12 @@ fn mine_inner(
     };
     let s = &problem.structure;
     let n = s.len();
-    assert!(n <= 64, "pipeline supports at most 64 variables");
+    // Variable sets are `u64` bitmasks; callers taking outside input
+    // refuse larger structures first.
+    assert!(
+        n <= MAX_VARIABLES,
+        "pipeline supports at most {MAX_VARIABLES} variables"
+    );
     // A worker panic must be able to cancel its siblings even when the
     // caller supplied no token, so attach one up front; inner engines get
     // the budget stripped (the budget unit here is step-5 candidates, not
@@ -879,397 +858,133 @@ fn mine_inner(
     });
     stats.candidates_scanned = assignments.len() as u64;
 
-    let window = opts.window_limit.then_some(max_window);
-    let solution_of = |phi: &[EventType], support: usize| -> Option<Solution> {
-        let frequency = support as f64 / denominator as f64;
-        (frequency > problem.min_confidence).then(|| Solution {
-            assignment: phi.to_vec(),
-            frequency,
-            support,
-        })
-    };
-    let run_limits_ref = run_limits.as_ref();
-    let token_ref = token.as_ref();
-    let scan = |phi: &[EventType],
-                scratch: &mut MatcherScratch,
-                tag_runs: &mut usize|
-     -> Result<Option<Solution>, Interrupt> {
-        let cet = ComplexEventType::new(s.clone(), phi.to_vec());
-        let tag = build_tag(&cet);
-        let support = count_support(
-            &tag,
-            &events,
-            &kept_refs,
-            window,
-            cols.as_ref(),
-            scratch,
-            tag_runs,
-            opts.obs,
-            run_limits_ref,
-        )?;
-        Ok(solution_of(phi, support))
-    };
-
-    // At least two workers when parallelism was requested: the option must
-    // exercise the parallel path (and its panic containment) even on
-    // single-core hosts, where `available_parallelism` is 1.
-    let n_threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .max(2);
-    let mut solutions: Vec<Solution>;
-    let mut tag_runs = 0usize;
+    // Step 5 is one shared-scan scheduler: the structure's automaton shape
+    // is built once and instantiated per assignment, and each chunk — a
+    // (candidate range, reference range) pair — advances its candidates
+    // together in one multi pass per reference occurrence. The budget
+    // unit is candidates scanned, a deterministic enumeration-order
+    // prefix, so it is cut before dispatch.
+    let template = templates.get(s);
+    let tags: Vec<Tag> = assignments
+        .iter()
+        .map(|phi| template.instantiate(phi))
+        .collect();
     let mut verdict = Verdict::Completed;
-    if opts.multi_scan {
-        // Shared-scan step 5: the structure's automaton shape is built
-        // once, instantiated per assignment, and every candidate advances
-        // together in one multi pass per reference occurrence. Path
-        // selection, worker counts, the step-5 failpoint, and the budget
-        // unit (candidates scanned, a deterministic enumeration-order
-        // prefix) all mirror the per-candidate paths below.
-        let template = templates.get(s);
-        let tags: Vec<Tag> = assignments
-            .iter()
-            .map(|phi| template.instantiate(phi))
-            .collect();
-        let mut allowed = assignments.len();
-        if let Some(l) = limits {
-            for idx in 0..assignments.len() {
-                if let Err(i) = l.check_with_used(idx as u64 + 1) {
-                    verdict = i.into();
-                    allowed = idx;
-                    break;
-                }
-            }
-        }
-        let scanned = &tags[..allowed];
-        let mut supports = vec![0usize; allowed];
-        // Whether each candidate's count completed: an interrupt abandons
-        // the (ref-major) pass that was counting it, so its partial sum
-        // must not produce a solution.
-        let mut counted = vec![true; allowed];
-        if opts.parallel
-            && opts.parallel_sweep
-            && assignments.len() < n_threads
-            && kept_refs.len() > 1
-        {
-            // Fewer candidates than cores: chunk the anchor start
-            // positions across workers, each chunk advancing the whole
-            // candidate set.
-            stats.step5_workers = n_threads.min(kept_refs.len());
-            let mm = anchored_multi(scanned, opts.obs);
-            match multi_count_support_sweep(
-                &mm,
-                &events,
-                &kept_refs,
-                window,
-                cols.as_ref(),
-                n_threads,
-                &mut tag_runs,
-                &mut stats.sweep_chunks,
-                opts.obs,
-                run_limits_ref,
-                token_ref,
-                &mut supports,
-            ) {
-                Ok(()) => {}
-                Err(SweepError::Interrupted(i)) => {
-                    verdict = i.into();
-                    counted.fill(false);
-                }
-                Err(SweepError::Panicked(wp)) => return Err(wp),
-            }
-        } else if opts.parallel && assignments.len() > 1 {
-            let n_workers = n_threads.min(assignments.len());
-            stats.step5_workers = n_workers;
-            let chunk_len = assignments.len().div_ceil(n_workers);
-            let chunks: Vec<&[Tag]> = scanned.chunks(chunk_len).collect();
-            let worker_spans = opts.obs.spans;
-            let obs = opts.obs;
-            let events_ref = &events;
-            let kept_refs_ref = &kept_refs;
-            let cols_ref = cols.as_ref();
-            const SITE: &str = "pipeline.step5.worker";
-            let worker_panic = |payload: &(dyn std::any::Any + Send)| {
-                if let Some(t) = token_ref {
-                    t.cancel();
-                }
-                WorkerPanic {
-                    site: SITE,
-                    message: tgm_limits::panic_message(payload),
-                }
-            };
-            type MultiWorkerResult =
-                Result<Result<(Vec<usize>, usize), Interrupt>, WorkerPanic>;
-            // Workers are fresh threads with an empty scope stack: hand
-            // them the caller's scoped metric domain so their emissions
-            // (and any contained-panic flush) land where the caller's
-            // would.
-            let worker_scope = tgm_obs::scope::current();
-            let joined: Vec<MultiWorkerResult> = crossbeam::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        let worker_scope = worker_scope.clone();
-                        scope.spawn(move |_| {
-                            let _obs_scope = worker_scope.enter();
-                            contain(SITE, token_ref, || {
-                                fail::point(SITE, limits);
-                                // Per-worker timing; flushed on span drop.
-                                let _s = span_if(worker_spans, SITE);
-                                let mm = anchored_multi(chunk, obs);
-                                let mut scratch = MultiScratch::new();
-                                let mut local = vec![0usize; chunk.len()];
-                                let mut runs = 0usize;
-                                multi_count_support(
-                                    &mm,
-                                    events_ref,
-                                    kept_refs_ref,
-                                    window,
-                                    cols_ref,
-                                    &mut scratch,
-                                    &mut runs,
-                                    run_limits_ref,
-                                    &mut local,
-                                )
-                                .map(|()| (local, runs))
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p.as_ref()))))
-                    .collect()
-            })
-            .unwrap_or_else(|p| vec![Err(worker_panic(p.as_ref()))]);
-            let mut first_panic: Option<WorkerPanic> = None;
-            let mut first_interrupt: Option<Interrupt> = None;
-            // Join order is chunk order, so chunk `ci` covers candidates
-            // `[ci * chunk_len, ci * chunk_len + len)` of the prefix.
-            for (ci, r) in joined.into_iter().enumerate() {
-                let offset = ci * chunk_len;
-                let len = chunk_len.min(allowed - offset);
-                match r {
-                    Ok(Ok((local, runs))) => {
-                        supports[offset..offset + len].copy_from_slice(&local);
-                        tag_runs += runs;
-                    }
-                    Ok(Err(i)) => {
-                        counted[offset..offset + len].fill(false);
-                        first_interrupt.get_or_insert(i);
-                    }
-                    Err(wp) => {
-                        counted[offset..offset + len].fill(false);
-                        if first_panic.is_none() {
-                            first_panic = Some(wp);
-                        }
-                    }
-                }
-            }
-            // The first panic wins over any interrupt: cancellation
-            // interrupts in sibling workers are a side effect of the
-            // panic itself.
-            if let Some(wp) = first_panic {
-                return Err(wp);
-            }
-            if let Some(i) = first_interrupt {
+    let mut allowed = assignments.len();
+    if let Some(l) = limits {
+        for idx in 0..assignments.len() {
+            if let Err(i) = l.check_with_used(idx as u64 + 1) {
                 verdict = i.into();
-            }
-        } else {
-            stats.step5_workers = 1;
-            let mm = anchored_multi(scanned, opts.obs);
-            let mut scratch = MultiScratch::new();
-            match multi_count_support(
-                &mm,
-                &events,
-                &kept_refs,
-                window,
-                cols.as_ref(),
-                &mut scratch,
-                &mut tag_runs,
-                run_limits_ref,
-                &mut supports,
-            ) {
-                Ok(()) => {}
-                Err(i) => {
-                    verdict = i.into();
-                    counted.fill(false);
-                }
-            }
-        }
-        solutions = assignments[..allowed]
-            .iter()
-            .zip(&supports)
-            .zip(&counted)
-            .filter(|&(_, &ok)| ok)
-            .filter_map(|((phi, &sup), _)| solution_of(phi, sup))
-            .collect();
-    } else if opts.parallel
-        && opts.parallel_sweep
-        && assignments.len() < n_threads
-        && kept_refs.len() > 1
-    {
-        // Fewer candidates than cores: candidate-level chunking would idle
-        // most workers, so parallelize *inside* each candidate by chunking
-        // its anchor start positions instead.
-        stats.step5_workers = n_threads.min(kept_refs.len());
-        solutions = Vec::new();
-        for (idx, phi) in assignments.iter().enumerate() {
-            if let Some(l) = limits {
-                // Budget unit: step-5 candidates scanned.
-                if let Err(i) = l.check_with_used(idx as u64 + 1) {
-                    verdict = i.into();
-                    break;
-                }
-            }
-            let cet = ComplexEventType::new(s.clone(), phi.to_vec());
-            let tag = build_tag(&cet);
-            let support = match count_support_sweep(
-                &tag,
-                &events,
-                &kept_refs,
-                window,
-                cols.as_ref(),
-                n_threads,
-                &mut tag_runs,
-                &mut stats.sweep_chunks,
-                opts.obs,
-                run_limits_ref,
-                token_ref,
-            ) {
-                Ok(support) => support,
-                Err(SweepError::Interrupted(i)) => {
-                    verdict = i.into();
-                    break;
-                }
-                Err(SweepError::Panicked(wp)) => return Err(wp),
-            };
-            if let Some(sol) = solution_of(phi, support) {
-                solutions.push(sol);
-            }
-        }
-    } else if opts.parallel && assignments.len() > 1 {
-        let n_threads = n_threads.min(assignments.len());
-        stats.step5_workers = n_threads;
-        let chunk_len = assignments.len().div_ceil(n_threads);
-        let chunks: Vec<(usize, &[Vec<EventType>])> = assignments
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(ci, c)| (ci * chunk_len, c))
-            .collect();
-        let scan = &scan;
-        let worker_spans = opts.obs.spans;
-        const SITE: &str = "pipeline.step5.worker";
-        let worker_panic = |payload: &(dyn std::any::Any + Send)| {
-            if let Some(t) = token_ref {
-                t.cancel();
-            }
-            WorkerPanic {
-                site: SITE,
-                message: tgm_limits::panic_message(payload),
-            }
-        };
-        type WorkerResult = Result<(Vec<Solution>, usize, Option<Interrupt>), WorkerPanic>;
-        // Workers are fresh threads with an empty scope stack: hand them
-        // the caller's scoped metric domain so their emissions (and any
-        // contained-panic flush) land where the caller's would.
-        let worker_scope = tgm_obs::scope::current();
-        let joined: Vec<WorkerResult> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(offset, chunk)| {
-                    let worker_scope = worker_scope.clone();
-                    scope.spawn(move |_| {
-                        let _obs_scope = worker_scope.enter();
-                        contain(SITE, token_ref, || {
-                            fail::point(SITE, limits);
-                            // Per-worker timing; flushed when the span drops.
-                            let _s = span_if(worker_spans, SITE);
-                            let mut local = Vec::new();
-                            // One scratch per worker, reused across its chunk.
-                            let mut scratch = MatcherScratch::new();
-                            let mut runs = 0usize;
-                            let mut interrupted: Option<Interrupt> = None;
-                            for (k, phi) in chunk.iter().enumerate() {
-                                if let Some(l) = limits {
-                                    // Budget against the *global* candidate
-                                    // index: the set of scanned assignments
-                                    // stays identical to the serial path.
-                                    let used = (offset + k) as u64 + 1;
-                                    if let Err(i) = l.check_with_used(used) {
-                                        interrupted = Some(i);
-                                        break;
-                                    }
-                                }
-                                match scan(phi, &mut scratch, &mut runs) {
-                                    Ok(Some(sol)) => local.push(sol),
-                                    Ok(None) => {}
-                                    Err(i) => {
-                                        interrupted = Some(i);
-                                        break;
-                                    }
-                                }
-                            }
-                            (local, runs, interrupted)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic(p.as_ref()))))
-                .collect()
-        })
-        .unwrap_or_else(|p| vec![Err(worker_panic(p.as_ref()))]);
-        solutions = Vec::new();
-        let mut first_panic: Option<WorkerPanic> = None;
-        let mut first_interrupt: Option<Interrupt> = None;
-        for r in joined {
-            match r {
-                Ok((local, runs, interrupted)) => {
-                    solutions.extend(local);
-                    tag_runs += runs;
-                    if let Some(i) = interrupted {
-                        first_interrupt.get_or_insert(i);
-                    }
-                }
-                Err(wp) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(wp);
-                    }
-                }
-            }
-        }
-        // The first panic wins over any interrupt: cancellation interrupts
-        // in sibling workers are a side effect of the panic itself.
-        if let Some(wp) = first_panic {
-            return Err(wp);
-        }
-        if let Some(i) = first_interrupt {
-            verdict = i.into();
-        }
-    } else {
-        stats.step5_workers = 1;
-        solutions = Vec::new();
-        let mut scratch = MatcherScratch::new();
-        for (idx, phi) in assignments.iter().enumerate() {
-            if let Some(l) = limits {
-                if let Err(i) = l.check_with_used(idx as u64 + 1) {
-                    verdict = i.into();
-                    break;
-                }
-            }
-            match scan(phi, &mut scratch, &mut tag_runs) {
-                Ok(Some(sol)) => solutions.push(sol),
-                Ok(None) => {}
-                Err(i) => {
-                    verdict = i.into();
-                    break;
-                }
+                allowed = idx;
+                break;
             }
         }
     }
+    // The chunk shape follows from what the run can see. With fewer
+    // candidates than workers, candidate chunks would leave workers idle,
+    // so the kept references are split instead and every chunk scans all
+    // allowed candidates; otherwise contiguous candidate ranges are split.
+    // At least two workers when parallelism was requested: the option must
+    // exercise the parallel path (and its panic containment) even on
+    // single-core hosts, where `available_parallelism` is 1.
+    let w = if opts.parallel {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
+            .max(2)
+    } else {
+        1
+    };
+    let ref_chunks = w > 1 && assignments.len() < w && kept_refs.len() > 1;
+    let candidate_chunks = !ref_chunks && w > 1 && assignments.len() > 1;
+    let chunks: Vec<(Range<usize>, &[usize])> = if ref_chunks {
+        kept_refs
+            .chunks(kept_refs.len().div_ceil(w))
+            .map(|r| (0..allowed, r))
+            .collect()
+    } else if candidate_chunks {
+        let len = assignments.len().div_ceil(w);
+        (0..allowed)
+            .step_by(len)
+            .map(|lo| (lo..allowed.min(lo + len), &kept_refs[..]))
+            .collect()
+    } else {
+        vec![(0..allowed, &kept_refs[..])]
+    };
+    stats.step5_workers = chunks.len();
+    if ref_chunks {
+        stats.sweep_chunks = chunks.len();
+    }
+    let window = opts.window_limit.then_some(max_window);
+    let run_chunk = |(cands, refs): (Range<usize>, &[usize])| -> Result<_, Interrupt> {
+        let mm = anchored_multi(&tags[cands.clone()], opts.obs);
+        let mut supports = vec![0usize; cands.len()];
+        let mut runs = 0usize;
+        multi_count_support(
+            &mm,
+            &events,
+            refs,
+            window,
+            cols.as_ref(),
+            &mut MultiScratch::new(),
+            &mut runs,
+            run_limits.as_ref(),
+            &mut supports,
+        )?;
+        Ok((supports, runs))
+    };
+    let results = if ref_chunks || candidate_chunks {
+        const SITE: &str = "pipeline.step5.worker";
+        fan_out(
+            SITE,
+            SITE,
+            opts.obs,
+            run_limits.as_ref(),
+            token.as_ref(),
+            chunks.clone(),
+            run_chunk,
+        )?
+    } else {
+        chunks.iter().cloned().map(run_chunk).collect()
+    };
+    let mut supports = vec![0usize; allowed];
+    // Whether each candidate's count completed: an interrupt abandons the
+    // (ref-major) pass that was counting it, so its partial sum must not
+    // produce a solution.
+    let mut counted = vec![true; allowed];
+    let mut tag_runs = 0usize;
+    let mut first_interrupt: Option<Interrupt> = None;
+    for ((cands, _), r) in chunks.into_iter().zip(results) {
+        match r {
+            Ok((local, runs)) => {
+                for (acc, s) in supports[cands].iter_mut().zip(local) {
+                    *acc += s;
+                }
+                tag_runs += runs;
+            }
+            Err(i) => {
+                counted[cands].fill(false);
+                first_interrupt.get_or_insert(i);
+            }
+        }
+    }
+    if let Some(i) = first_interrupt {
+        verdict = i.into();
+    }
+    let mut solutions: Vec<Solution> = assignments[..allowed]
+        .iter()
+        .zip(&supports)
+        .zip(&counted)
+        .filter(|&(_, &ok)| ok)
+        .filter_map(|((phi, &support), _)| {
+            let frequency = support as f64 / denominator as f64;
+            (frequency > problem.min_confidence).then(|| Solution {
+                assignment: phi.to_vec(),
+                frequency,
+                support,
+            })
+        })
+        .collect();
     stats.tag_runs = tag_runs;
     solutions.sort_by(|a, b| a.assignment.cmp(&b.assignment));
     stats.solutions = solutions.len();
@@ -1422,9 +1137,7 @@ mod tests {
             chain_screening_k: 0,
             window_limit: false,
             parallel: false,
-            parallel_sweep: false,
             use_tick_columns: false,
-            multi_scan: false,
             obs: ObsOptions::default(),
         }
     }
@@ -1470,7 +1183,7 @@ mod tests {
     fn all_ablations_agree() {
         let (_reg, seq, p) = world();
         let (reference, _) = mine_with(&p, &seq, &no_opt());
-        for bits in 0..512u32 {
+        for bits in 0..256u32 {
             let opts = PipelineOptions {
                 consistency_screen: bits & 1 != 0,
                 sequence_reduction: bits & 2 != 0,
@@ -1480,9 +1193,7 @@ mod tests {
                 chain_screening_k: if bits & 64 != 0 { 2 } else { 0 },
                 window_limit: bits & 32 != 0,
                 parallel: false,
-                parallel_sweep: false,
                 use_tick_columns: bits & 128 != 0,
-                multi_scan: bits & 256 != 0,
                 obs: ObsOptions::default(),
             };
             let (sols, _) = mine_with(&p, &seq, &opts);
@@ -1597,25 +1308,93 @@ mod tests {
         assert_eq!(s1, s2);
     }
 
+    /// `k` candidate types for X1, each following the reference A one
+    /// day later after two of every three references, so every candidate
+    /// survives screening and is a solution (frequency 2/3 > 0.5).
+    fn fan_world(k: u32, refs: i64) -> (EventSequence, DiscoveryProblem) {
+        let a = EventType(0);
+        let mut events = Vec::new();
+        for r in 0..refs {
+            let d = 2 + 7 * r;
+            events.push(Event::new(a, d * DAY + 10_000));
+            for t in 1..=k {
+                if (r + i64::from(t)) % 3 != 0 {
+                    events.push(Event::new(EventType(t), (d + 1) * DAY + i64::from(t)));
+                }
+            }
+        }
+        let cal = Calendar::standard();
+        let mut sb = StructureBuilder::new();
+        let x0 = sb.var("X0");
+        let x1 = sb.var("X1");
+        sb.constrain(x0, x1, Tcg::new(1, 1, cal.get("day").unwrap()));
+        let s = sb.build().unwrap();
+        (EventSequence::from_events(events), DiscoveryProblem::new(s, 0.5, a))
+    }
+
+    /// Each step-5 chunk shape, chosen by its input alone, agrees with the
+    /// naive miner, performs one anchored run per (candidate, kept
+    /// reference) pair, reports the chunks it dispatched, and under a
+    /// budget `B` scans exactly the first `B` candidates.
     #[test]
-    fn parallel_sweep_agrees_and_preserves_run_count() {
-        let (_reg, seq, p) = world();
-        let serial = PipelineOptions {
-            parallel: false,
-            ..PipelineOptions::default()
-        };
-        let candidate_level = PipelineOptions {
-            parallel_sweep: false,
-            ..PipelineOptions::default()
-        };
-        let sweep_level = PipelineOptions::default();
-        let (s0, st0) = mine_with(&p, &seq, &serial);
-        let (s1, st1) = mine_with(&p, &seq, &candidate_level);
-        let (s2, st2) = mine_with(&p, &seq, &sweep_level);
-        assert_eq!(s0, s1);
-        assert_eq!(s0, s2);
-        // Chunking never changes how many anchored runs are performed.
-        assert_eq!(st0.tag_runs, st1.tag_runs);
-        assert_eq!(st0.tag_runs, st2.tag_runs);
+    fn every_step5_shape_agrees_with_naive() {
+        let w = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
+            .max(2);
+        let inline = PipelineOptions::builder().parallel(false).build();
+        let parallel = PipelineOptions::default();
+        // (shape, input, options, chunks dispatched for `allowed` candidates)
+        type Chunks = fn(usize, usize, usize, usize) -> usize;
+        let shapes: [(&str, (EventSequence, DiscoveryProblem), PipelineOptions, Chunks); 3] = [
+            ("inline", fan_world(5, 6), inline, |_, _, _, _| 1),
+            ("reference chunks", fan_world(1, 9), parallel, |w, _, refs, _| {
+                refs.div_ceil(refs.div_ceil(w))
+            }),
+            ("candidate chunks", fan_world(2 * w as u32 + 1, 6), parallel, |w, len, _, allowed| {
+                allowed.div_ceil(len.div_ceil(w))
+            }),
+        ];
+        for (shape, (seq, p), opts, chunks) in shapes {
+            let (expected, _) = naive::mine(&p, &seq);
+            let (sols, st) = mine_with(&p, &seq, &opts);
+            assert_eq!(sols, expected, "{shape}");
+            let len = st.candidates_scanned as usize;
+            assert_eq!(expected.len(), len, "{shape}: every candidate is a solution");
+            assert_eq!(st.tag_runs, len * st.refs_kept, "{shape}");
+            assert_eq!(st.step5_workers, chunks(w, len, st.refs_kept, len), "{shape}");
+            match shape {
+                "inline" => assert_eq!((st.step5_workers, st.sweep_chunks), (1, 0)),
+                "reference chunks" => {
+                    assert_eq!(len, 1);
+                    assert_eq!(st.sweep_chunks, st.step5_workers);
+                    assert!(st.step5_workers > 1);
+                }
+                _ => {
+                    assert!(len > w);
+                    assert_eq!(st.sweep_chunks, 0);
+                    assert!(st.step5_workers > 1);
+                }
+            }
+            for budget in 1..=len {
+                let limits = Limits::none().with_budget(budget as u64);
+                let run = mine_bounded(&p, &seq, &opts, &limits).unwrap();
+                let verdict = if budget < len {
+                    Verdict::Interrupted(Interrupt::BudgetExhausted)
+                } else {
+                    Verdict::Completed
+                };
+                assert_eq!(run.verdict, verdict, "{shape} budget {budget}");
+                // Candidates enumerate in type order and all are solutions,
+                // so the first B candidates are the first B solutions.
+                assert_eq!(run.solutions, expected[..budget], "{shape} budget {budget}");
+                assert_eq!(run.stats.tag_runs, budget * st.refs_kept, "{shape} budget {budget}");
+                assert_eq!(
+                    run.stats.step5_workers,
+                    chunks(w, len, st.refs_kept, budget),
+                    "{shape} budget {budget}"
+                );
+            }
+        }
     }
 }

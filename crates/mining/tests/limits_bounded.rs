@@ -1,6 +1,6 @@
 //! Bounded-mining differential tests: `mine_bounded` with [`Limits::none`]
-//! is bit-identical to `mine_with` on every step-5 execution path; tight
-//! budgets stop at the same candidate on every path (the budget counts
+//! is bit-identical to `mine_with` inline and in parallel; tight budgets
+//! stop at the same candidate either way (the budget counts
 //! globally-indexed step-5 assignments); and expired deadlines or
 //! cancelled tokens return typed partial results instead of panicking or
 //! hanging.
@@ -36,12 +36,12 @@ fn fixture() -> (DiscoveryProblem, EventSequence) {
     )
 }
 
-/// The three step-5 execution paths: serial, candidate-parallel, and
-/// parallel with per-candidate sweep chunking.
+/// Step 5 inline and in parallel (this fixture's many candidates take
+/// candidate chunks).
 fn step5_paths() -> Vec<pipeline::PipelineOptions> {
-    [(false, false), (true, false), (true, true)]
+    [false, true]
         .into_iter()
-        .map(|(parallel, parallel_sweep)| pipeline::PipelineOptions::builder().parallel(parallel).parallel_sweep(parallel_sweep).build())
+        .map(|parallel| pipeline::PipelineOptions::builder().parallel(parallel).build())
         .collect()
 }
 

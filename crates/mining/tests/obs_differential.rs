@@ -1,12 +1,12 @@
 //! Differential tests for mining observability: enabling the process-wide
 //! obs toggle (or flipping the per-run `ObsOptions` knobs) must not change
-//! solutions or stats, for the naive miner and for every step-5 execution
-//! path of the pipeline (serial, candidate-parallel, sweep-parallel) —
-//! and each path must populate identically shaped `PipelineStats`.
+//! solutions or stats, for the naive miner and for every step-5 chunk
+//! shape of the pipeline (inline, reference chunks, candidate chunks) —
+//! and each shape must populate identically shaped `PipelineStats`.
 
 use parking_lot::Mutex;
-use tgm_core::{StructureBuilder, Tcg};
-use tgm_events::{Event, EventSequence, TypeRegistry};
+use tgm_core::{StructureBuilder, Tcg, VarId};
+use tgm_events::{Event, EventSequence, EventType, TypeRegistry};
 use tgm_granularity::Calendar;
 use tgm_mining::naive::{self, NaiveOptions};
 use tgm_mining::pipeline::{self, PipelineOptions, PipelineStats};
@@ -48,40 +48,62 @@ fn world() -> (EventSequence, DiscoveryProblem) {
     (seq, DiscoveryProblem::new(s, 0.4, a))
 }
 
-/// The three step-5 execution paths, everything else at defaults.
-fn step5_modes(obs: ObsOptions) -> Vec<(&'static str, PipelineOptions)> {
-    let base = PipelineOptions::builder().obs(obs).build();
+/// The worker count step 5 splits its scan across when parallel.
+fn workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+        .max(2)
+}
+
+/// More X1 candidate types than workers, each following A the next day
+/// after every reference, so step 5 splits the candidates.
+fn wide_world() -> (EventSequence, DiscoveryProblem) {
+    let k = 2 * workers() as u32 + 1;
+    let a = EventType(0);
+    let mut events = Vec::new();
+    for d in [2i64, 9, 16, 23] {
+        events.push(Event::new(a, d * DAY + 10_000));
+        for t in 1..=k {
+            events.push(Event::new(EventType(t), (d + 1) * DAY + i64::from(t)));
+        }
+    }
+    let cal = Calendar::standard();
+    let mut sb = StructureBuilder::new();
+    let x0 = sb.var("X0");
+    let x1 = sb.var("X1");
+    sb.constrain(x0, x1, Tcg::new(1, 1, cal.get("day").unwrap()));
+    let s = sb.build().unwrap();
+    (EventSequence::from_events(events), DiscoveryProblem::new(s, 0.4, a))
+}
+
+/// The three step-5 chunk shapes, each chosen by its input: `parallel`
+/// off runs one chunk inline; one candidate over several references
+/// splits the references; more candidates than workers split the
+/// candidates. Everything else at defaults.
+fn step5_shapes(
+    obs: ObsOptions,
+) -> Vec<(&'static str, EventSequence, DiscoveryProblem, PipelineOptions)> {
+    let parallel = PipelineOptions::builder().obs(obs).build();
+    let inline = parallel.to_builder().parallel(false).build();
+    let (seq, p) = world();
+    // X1 = B, X2 = C: the one candidate occurs after two references.
+    let one = p
+        .clone()
+        .with_candidates(VarId(1), [EventType(1)])
+        .with_candidates(VarId(2), [EventType(2)]);
+    let (wide_seq, wide) = wide_world();
     vec![
-        (
-            "serial",
-            base.to_builder().parallel(false).parallel_sweep(false).build(),
-        ),
-        (
-            "candidate-parallel",
-            base.to_builder().parallel(true).parallel_sweep(false).build(),
-        ),
-        (
-            "sweep-parallel",
-            base.to_builder().parallel(true).parallel_sweep(true).build(),
-        ),
-        // The retained per-candidate oracle engine; its stats must agree
-        // with the shared-scan serial path field-for-field.
-        (
-            "serial-percand",
-            base.to_builder()
-                .parallel(false)
-                .parallel_sweep(false)
-                .multi_scan(false)
-                .build(),
-        ),
+        ("inline", seq.clone(), p, inline),
+        ("reference-chunks", seq, one, parallel),
+        ("candidate-chunks", wide_seq, wide, parallel),
     ]
 }
 
 fn run_all(obs: ObsOptions) -> Vec<(&'static str, Vec<Solution>, PipelineStats)> {
-    let (seq, p) = world();
-    step5_modes(obs)
+    step5_shapes(obs)
         .into_iter()
-        .map(|(name, opts)| {
+        .map(|(name, seq, p, opts)| {
             let (sols, stats) = pipeline::mine_with(&p, &seq, &opts);
             (name, sols, stats)
         })
@@ -103,14 +125,11 @@ fn pipeline_results_identical_with_obs_on_and_off() {
 
     assert_eq!(baseline, observed, "observability changed a mining result");
     // Instrumentation really fired: run counters, the §5 per-step spans,
-    // and engine-level counters flowing up from the anchored sweeps — the
-    // shared-scan counters from the default paths, the matcher counters
-    // from the per-candidate oracle mode.
-    assert_eq!(metrics.counter("mining.pipeline.runs"), 4);
+    // and the shared-scan counters flowing up from the anchored passes.
+    assert_eq!(metrics.counter("mining.pipeline.runs"), 3);
     assert!(metrics.counter("mining.pipeline.tag_runs") > 0);
     assert!(metrics.counter("tag.multi.runs") > 0);
     assert!(metrics.counter("tag.multi.candidates") > 0);
-    assert!(metrics.counter("tag.matcher.runs") > 0);
     for name in [
         "pipeline",
         "pipeline.step1.consistency",
@@ -123,31 +142,36 @@ fn pipeline_results_identical_with_obs_on_and_off() {
     tgm_obs::reset();
 }
 
-/// Serial, candidate-parallel and sweep-parallel step-5 paths report
-/// identically shaped stats: every field agrees except the fields that
-/// legitimately describe the execution mode itself.
+/// Every step-5 chunk shape reports the same stats as one inline chunk
+/// over the same input, except the two fields that describe the shape
+/// itself; those name the shape that ran.
 #[test]
-fn step5_paths_populate_stats_identically() {
+fn step5_shapes_populate_stats_identically() {
     let _guard = TEST_LOCK.lock();
     tgm_obs::set_enabled(false);
-    let all = run_all(ObsOptions::default());
-    let (_, base_sols, base) = &all[0];
-    assert_eq!(base.step5_workers, 1);
-    assert_eq!(base.sweep_chunks, 0);
-    for (name, sols, stats) in &all[1..] {
+    for (name, seq, p, opts) in step5_shapes(ObsOptions::default()) {
+        let (sols, stats) = pipeline::mine_with(&p, &seq, &opts);
+        let inline = opts.to_builder().parallel(false).build();
+        let (base_sols, base) = pipeline::mine_with(&p, &seq, &inline);
+        assert_eq!((base.step5_workers, base.sweep_chunks), (1, 0));
         assert_eq!(sols, base_sols, "{name} changed solutions");
-        assert!(stats.step5_workers >= 1, "{name} left step5_workers unset");
+        let shape = (stats.step5_workers, stats.sweep_chunks);
+        match name {
+            "inline" => assert_eq!(shape, (1, 0)),
+            "reference-chunks" => assert!(shape.0 > 1 && shape.1 == shape.0, "{shape:?}"),
+            _ => assert!(shape.0 > 1 && shape.1 == 0, "{shape:?}"),
+        }
         let normalized = PipelineStats {
-            step5_workers: base.step5_workers,
-            sweep_chunks: base.sweep_chunks,
-            ..*stats
+            step5_workers: 1,
+            sweep_chunks: 0,
+            ..stats
         };
-        assert_eq!(&normalized, base, "{name} stats diverged");
+        assert_eq!(normalized, base, "{name} stats diverged");
     }
 }
 
-/// Every step-5 path run inside a recorder-equipped scoped metric domain
-/// (with an exporter pulling frames between paths) produces bit-identical
+/// Every step-5 shape run inside a recorder-equipped scoped metric domain
+/// (with an exporter pulling frames between shapes) produces bit-identical
 /// solutions and stats; worker threads inherit the scope, so nothing
 /// leaks into the default registry.
 #[test]
@@ -172,7 +196,7 @@ fn scoped_pipeline_results_identical_and_contained() {
     assert_eq!(baseline, observed, "scoped observability changed a result");
     // The scope saw the whole funnel — including counters emitted from
     // crossbeam workers, which enter the caller's scope at spawn.
-    assert_eq!(frame.delta.metrics.counter("mining.pipeline.runs"), 4);
+    assert_eq!(frame.delta.metrics.counter("mining.pipeline.runs"), 3);
     assert!(frame.delta.metrics.counter("mining.pipeline.tag_runs") > 0);
     assert!(frame.delta.metrics.counter("tag.multi.runs") > 0);
     assert!(frame.delta.spans.get("pipeline").is_some());
@@ -211,6 +235,8 @@ fn naive_results_identical_with_obs_on_and_off() {
     assert_eq!(baseline, observed);
     assert_eq!(metrics.counter("mining.naive.runs"), 2);
     assert!(metrics.counter("mining.naive.tag_runs") > 0);
+    // The naive miner runs one packed matcher per anchored run.
+    assert!(metrics.counter("tag.matcher.runs") > 0);
     tgm_obs::reset();
 }
 
@@ -237,26 +263,23 @@ fn silent_knob_suppresses_pipeline_emission() {
     tgm_obs::reset();
 }
 
-/// Step-5 engine differential: for every execution path, the shared-scan
-/// engine and the per-candidate oracle produce identical solutions and
-/// identical funnel stats. Only `sweep_chunks` is normalized: the oracle
-/// dispatches one sweep per candidate while the shared scan dispatches one
-/// sweep total, so their chunk tallies legitimately differ.
+/// Step-5 oracle: on every chunk shape the pipeline finds exactly the
+/// naive miner's solutions, with one anchored run per (candidate, kept
+/// reference) pair. The shared-scan engine itself is held to the
+/// per-candidate matcher by the tag crate's multi-TAG differential tests.
 #[test]
-fn multi_scan_matches_per_candidate_oracle_on_every_path() {
+fn every_step5_shape_matches_naive() {
     let _guard = TEST_LOCK.lock();
     tgm_obs::set_enabled(false);
-    let (seq, p) = world();
-    for (name, opts) in step5_modes(ObsOptions::default()) {
-        let percand = opts.to_builder().multi_scan(false).build();
-        let multi = opts.to_builder().multi_scan(true).build();
-        let (s0, st0) = pipeline::mine_with(&p, &seq, &percand);
-        let (s1, st1) = pipeline::mine_with(&p, &seq, &multi);
-        assert_eq!(s0, s1, "{name}: engines disagree on solutions");
-        let normalized = PipelineStats {
-            sweep_chunks: st0.sweep_chunks,
-            ..st1
-        };
-        assert_eq!(st0, normalized, "{name}: engines disagree on stats");
+    for (name, seq, p, opts) in step5_shapes(ObsOptions::default()) {
+        let (expected, _) = naive::mine(&p, &seq);
+        let (sols, stats) = pipeline::mine_with(&p, &seq, &opts);
+        assert!(!expected.is_empty(), "{name}: the fixture must have solutions");
+        assert_eq!(sols, expected, "{name}: pipeline disagrees with naive");
+        assert_eq!(
+            stats.tag_runs as u64,
+            stats.candidates_scanned * stats.refs_kept as u64,
+            "{name}"
+        );
     }
 }

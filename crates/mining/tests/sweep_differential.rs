@@ -1,7 +1,7 @@
 //! Differential property tests for the miner's parallel anchored sweeps:
 //! on randomized discovery problems and event sequences, chunking the
-//! per-occurrence sweep across workers (naive `parallel_sweep`, pipeline
-//! `parallel_sweep`) and candidate-level parallelism must all produce
+//! naive miner's per-occurrence sweep across workers (`parallel_sweep`)
+//! and splitting the pipeline's step 5 across workers must both produce
 //! exactly the serial solutions, with the same number of anchored TAG runs.
 
 use proptest::prelude::*;
@@ -57,18 +57,13 @@ proptest! {
         prop_assert_eq!(serial_stats.tag_runs, sweep_stats.tag_runs);
         prop_assert_eq!(serial_stats.candidates, sweep_stats.candidates);
 
-        // Pipeline: serial vs candidate-level parallel vs in-candidate
-        // sweep parallelism.
+        // Pipeline: inline vs split across workers (by candidates or by
+        // references, whichever the input selects).
         let serial = PipelineOptions::builder().parallel(false).build();
-        let candidate_level = PipelineOptions::builder().parallel_sweep(false).build();
-        let sweep_level = PipelineOptions::default();
         let (p0, st0) = mine_with(&problem, &seq, &serial);
-        let (p1, st1) = mine_with(&problem, &seq, &candidate_level);
-        let (p2, st2) = mine_with(&problem, &seq, &sweep_level);
+        let (p1, st1) = mine_with(&problem, &seq, &PipelineOptions::default());
         prop_assert_eq!(&p0, &p1);
-        prop_assert_eq!(&p0, &p2);
         prop_assert_eq!(st0.tag_runs, st1.tag_runs);
-        prop_assert_eq!(st0.tag_runs, st2.tag_runs);
         // And both miners still agree with each other.
         prop_assert_eq!(&serial_sols, &p0);
     }

@@ -33,6 +33,7 @@ use tgm_events::minijson::{self, write_escaped, Value};
 use tgm_events::{Event, EventType, TypeRegistry};
 use tgm_granularity::Calendar;
 use tgm_limits::Interrupt;
+use tgm_mining::pipeline::MAX_VARIABLES;
 
 /// The closed set of error kinds a `tgm_serve/v1` response can carry.
 /// Everything a client can observe going wrong maps onto one of these —
@@ -305,6 +306,12 @@ pub fn parse_request(payload: &str) -> Result<Request, String> {
         "mine" => {
             let cal = calendar_for(&doc)?;
             let structure = structure_field(&doc, &cal)?;
+            if structure.len() > MAX_VARIABLES {
+                return Err(format!(
+                    "mining supports at most {MAX_VARIABLES} variables, the structure has {}",
+                    structure.len()
+                ));
+            }
             let mut registry = TypeRegistry::new();
             let events = events_field(&doc, &mut registry)?;
             let ref_name = str_field(&doc, "reference")?;

@@ -113,6 +113,34 @@ fn malformed_payloads_are_bad_requests_not_crashes() {
     core.drain();
 }
 
+/// A mine request over more variables than the miner supports is the
+/// client's error: `BadRequest`, and no worker panic charged to the tenant.
+#[test]
+fn mine_over_64_variables_is_a_bad_request() {
+    let core = small_core();
+    let client = core.client();
+    let vars: Vec<String> = (0..65).map(|i| format!("\"x{i}\"")).collect();
+    let arcs: Vec<String> = (1..65)
+        .map(|i| format!(r#"{{"from":0,"to":{i},"lo":0,"hi":1,"granularity":"day"}}"#))
+        .collect();
+    let payload = format!(
+        r#"{{"op":"mine","tenant":"wide","structure":{{"variables":[{}],"constraints":[{}]}},{EVENTS},"reference":"rise"}}"#,
+        vars.join(","),
+        arcs.join(",")
+    );
+    let resp = client.request_parsed(&payload).unwrap();
+    assert_eq!(resp.error_kind(), Some(ErrorKind::BadRequest));
+    let stats = client
+        .request_parsed(r#"{"op":"stats","tenant":"wide"}"#)
+        .unwrap();
+    let Response::Ok(body) = stats else {
+        panic!("stats failed: {stats:?}")
+    };
+    let frame = body.get("frame").and_then(Value::as_str).unwrap();
+    assert!(frame.contains("\"worker_panics_total\":0"), "{frame}");
+    core.drain();
+}
+
 #[test]
 fn tcp_round_trip_is_bit_identical_to_in_process() {
     let server = Server::bind(

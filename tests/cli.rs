@@ -287,6 +287,33 @@ fn out_of_range_confidence_is_a_clean_error() {
     assert!(err.contains("within [0, 1]"), "{err}");
 }
 
+/// A structure's variable count is outside input: past the miner's bound
+/// it is a clean error, not a panic.
+#[test]
+fn mine_refuses_more_than_64_variables() {
+    // A 65-variable star rooted at variable 0.
+    let vars: Vec<String> = (0..65).map(|i| format!("\"x{i}\"")).collect();
+    let arcs: Vec<String> = (1..65)
+        .map(|i| format!(r#"{{"from":0,"to":{i},"lo":0,"hi":1,"granularity":"day"}}"#))
+        .collect();
+    let star = format!(
+        r#"{{"variables":[{}],"constraints":[{}]}}"#,
+        vars.join(","),
+        arcs.join(",")
+    );
+    let spath = temp_file("star65.json", &star);
+    let epath = temp_file("events_star65.json", EVENTS);
+    let err = run(&args(&[
+        "mine",
+        spath.to_str().unwrap(),
+        epath.to_str().unwrap(),
+        "--reference",
+        "rise",
+    ]))
+    .unwrap_err();
+    assert!(err.contains("at most 64 variables"), "{err}");
+}
+
 #[test]
 fn stream_drain_finalizes_with_a_last_frame() {
     let spath = temp_file("structure_drain.json", STRUCTURE);
